@@ -16,16 +16,16 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mclint ./...
 
+# fuzz runs every fuzz target (the list lives in scripts/fuzz.sh).
 fuzz:
-	$(GO) test ./internal/edfvd -run='^$$' -fuzz='^FuzzTheorem1Feasible$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/edfvd -run='^$$' -fuzz='^FuzzDualAgreement$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/taskgen -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME)
+	scripts/fuzz.sh $(FUZZTIME)
 
 fmt:
 	gofmt -w .
 
 # bench runs the partitioning fast-path benchmarks with fixed flags and
-# writes BENCH_PR2.json with speedups against the pre-fast-path baseline.
+# writes a JSON report, with speedups against the pre-fast-path
+# baseline, to a temporary file whose path it prints.
 bench:
 	scripts/bench.sh
 

@@ -2,6 +2,8 @@
 // offers taskgen-generated admission requests at one or more fixed
 // rates through the retrying client and reports latency percentiles
 // plus shed and degraded rates as JSON (the BENCH_PR8.json format).
+// Latency is timed from each request's due time on the offer clock,
+// so time a request spends queued behind a stalled sender counts.
 //
 // Usage:
 //

@@ -115,17 +115,16 @@ type admitJob struct {
 	requireFull bool
 }
 
-// normalize validates req against the server limits and resolves every
-// default, returning the executable job or a client error.
+// normalize checks req against the server limits and resolves every
+// default, returning the executable job or a client error. The task
+// set itself was validated once, by whichever decode path produced
+// req (decodeRequest), and is hashed here once.
 func normalize(req *Request, maxTasks, maxCores int) (*admitJob, error) {
 	if req.TaskSet == nil || req.TaskSet.Len() == 0 {
 		return nil, fmt.Errorf("task_set must hold at least one task")
 	}
 	if n := req.TaskSet.Len(); n > maxTasks {
 		return nil, fmt.Errorf("task_set has %d tasks; the server accepts at most %d", n, maxTasks)
-	}
-	if err := req.TaskSet.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid task_set: %v", err)
 	}
 	if req.M < 1 || req.M > maxCores {
 		return nil, fmt.Errorf("m must be in 1..%d, got %d", maxCores, req.M)

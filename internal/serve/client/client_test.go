@@ -252,6 +252,44 @@ func TestRunLoadAgainstRealDaemon(t *testing.T) {
 	}
 }
 
+// TestRunLoadTimesFromDueTime: with one sender, a stalled first reply
+// holds up the request queued behind it, and that request's latency
+// must include the wait. Timed from pickup it would read as a fast
+// reply and the median below would be about a millisecond.
+func TestRunLoadTimesFromDueTime(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	var calls atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			time.Sleep(stall)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(&serve.Response{Admitted: true, Verdict: serve.VerdictAdmitted})
+	}))
+	defer hs.Close()
+	c := newClient(t, hs, Config{})
+	// Ticks every 20ms for 250ms: the first request stalls, the second
+	// waits in the one-slot hand-off, those due during the stall are
+	// dropped, and at most one more arrives after it.
+	rep, err := RunLoad(context.Background(), LoadConfig{
+		Client:        c,
+		Corpus:        []*serve.Request{{TaskSet: testSet(t), M: 4}},
+		RPS:           50,
+		Duration:      250 * time.Millisecond,
+		Conns:         1,
+		RequestBudget: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	if sent := rep.Offered - rep.Failed; sent < 2 || sent > 3 {
+		t.Fatalf("%d of %d offered requests were sent, want 2 or 3: %+v", sent, rep.Offered, rep)
+	}
+	if min := float64(stall/2) / float64(time.Millisecond); rep.P50MS < min {
+		t.Errorf("median latency %.1fms hides the %v stall the queued request waited out", rep.P50MS, stall)
+	}
+}
+
 func TestRunLoadValidation(t *testing.T) {
 	c, err := New(Config{BaseURL: "http://x"})
 	if err != nil {

@@ -65,8 +65,10 @@ type LoadReport struct {
 	DegradedRate float64 `json:"degraded_rate"`
 	ShedRate     float64 `json:"shed_rate"`
 
-	// End-to-end latency percentiles in milliseconds (retries and
-	// backoff included).
+	// End-to-end latency percentiles in milliseconds, timed from each
+	// request's due time on the offer clock (so a request queued
+	// behind a stalled sender counts its wait), retries and backoff
+	// included.
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
@@ -114,18 +116,25 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	}
 	defer func() { cfg.Client.cfg.OnAttempt = prev }()
 
-	offers := make(chan *serve.Request, cfg.Conns)
+	// An offer is one request and the time the offer clock made it
+	// due: latency runs from there, not from when a sender picked the
+	// request up, or a stall would hide the wait of the requests
+	// queued behind it.
+	type offer struct {
+		req *serve.Request
+		due time.Time
+	}
+	offers := make(chan offer, cfg.Conns)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Conns; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for req := range offers {
-				start := time.Now()
+			for o := range offers {
 				rctx, cancel := context.WithTimeout(ctx, cfg.RequestBudget)
-				resp, _, err := cfg.Client.Admit(rctx, req)
+				resp, _, err := cfg.Client.Admit(rctx, o.req)
 				cancel()
-				elapsed := time.Since(start)
+				elapsed := time.Since(o.due)
 				mu.Lock()
 				latencies = append(latencies, elapsed)
 				switch {
@@ -154,8 +163,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		}()
 	}
 
-	// The offer clock: one request per tick, dropped ticks are still
-	// counted as offered so overload cannot flatter the report.
+	// The offer clock: one request per tick, due at the tick's
+	// scheduled time; dropped ticks are still counted as offered so
+	// overload cannot flatter the report.
 	interval := time.Duration(float64(time.Second) / cfg.RPS)
 	if interval <= 0 {
 		interval = time.Nanosecond
@@ -168,10 +178,10 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 offer:
 	for {
 		select {
-		case <-ticker.C:
+		case due := <-ticker.C:
 			rep.Offered++
 			select {
-			case offers <- cfg.Corpus[next%len(cfg.Corpus)]:
+			case offers <- offer{cfg.Corpus[next%len(cfg.Corpus)], due}:
 			default:
 				// Every sender is busy and the hand-off buffer is
 				// full: the request is offered but immediately lost,

@@ -12,6 +12,14 @@
 //
 // Robustness is layered, in request order:
 //
+//   - Decode. The body is read once and parsed in a single pass into
+//     the Request and its task slabs (decode.go); any body outside
+//     that fast grammar, a body cut off by MaxBodyBytes included, is
+//     replayed through encoding/json, which alone defines the errors
+//     and the accepted set. The task set is validated once, by
+//     whichever path decoded it, and hashed once (mc.TaskSetHash).
+//   - Limits. normalize checks the decoded request against the
+//     server's core, task and backend limits and resolves defaults.
 //   - Deadlines. A timeout middleware derives every request's work
 //     context from r.Context(); the deadline is plumbed through
 //     Partitioner evaluation (partition.RunContext), and a deadline

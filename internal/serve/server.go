@@ -273,9 +273,8 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		s.met.badReq.Inc()
 		writeJSON(w, http.StatusBadRequest, &Response{
 			Verdict: VerdictUncertain,
@@ -283,7 +282,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	job, err := normalize(&req, s.cfg.MaxTasks, s.cfg.MaxCores)
+	job, err := normalize(req, s.cfg.MaxTasks, s.cfg.MaxCores)
 	if err != nil {
 		s.met.badReq.Inc()
 		writeJSON(w, http.StatusBadRequest, &Response{

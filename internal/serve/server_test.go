@@ -164,6 +164,12 @@ func TestAdmitValidationErrors(t *testing.T) {
 	_, hs := newTestServer(t, Config{MaxTasks: 30, MaxCores: 16})
 	ts := feasibleSet(t)
 	k4 := genSet(t, 4, 4, 24, 0.5, 3)
+	// Sets that fail mc.TaskSet.Validate: decoding rejects them with
+	// the validation error.
+	decreasing := feasibleSet(t).Clone()
+	decreasing.Tasks[1].WCET[1] = decreasing.Tasks[1].WCET[0] / 2
+	duplicate := feasibleSet(t).Clone()
+	duplicate.Tasks[1].ID = duplicate.Tasks[0].ID
 	cases := []struct {
 		name string
 		req  Request
@@ -179,6 +185,9 @@ func TestAdmitValidationErrors(t *testing.T) {
 		{"amcrtb too many levels", Request{TaskSet: k4, M: 4, Backend: "amcrtb"}, "at most K=2"},
 		{"bad scheme", Request{TaskSet: ts, M: 4, Schemes: []string{"ZFD"}}, "unknown scheme"},
 		{"negative timeout", Request{TaskSet: ts, M: 4, TimeoutMS: -1}, "non-negative"},
+		{"decreasing wcet", Request{TaskSet: decreasing, M: 4},
+			"bad request body: task 2: WCET vector decreases at level 2 (24.05023624469891 < 48.10047248939782)"},
+		{"duplicate id", Request{TaskSet: duplicate, M: 4}, "bad request body: mc: duplicate task ID 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

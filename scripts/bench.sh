@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# bench.sh — the PR-2 performance gate: runs the partitioning fast-path
-# benchmarks with fixed flags and writes BENCH_PR2.json, comparing
-# against the pre-PR baselines recorded below (measured on the same
-# machine immediately before the fast path landed).
+# bench.sh — the partitioning performance report: runs the fast-path,
+# online-event and scenario benchmarks with fixed flags and writes a
+# JSON report comparing them against the baselines recorded below
+# (commit 92ce90e, measured on the machine the fast path landed on, so
+# the speedups are only indicative elsewhere).
 #
 # Usage: scripts/bench.sh [output.json]
+#   output.json  report path (default: BENCH_PR10.json in a fresh
+#                temporary directory). The PR number in the file name,
+#                BENCH_PR<N>.json, selects the Fig1 floor reported.
 #
 # Acceptance criteria checked here (reported, not enforced — the
 # script always exits 0 so it can run as a non-gating check step):
@@ -14,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR2.json}"
+OUT="${1:-$(mktemp -d)/BENCH_PR10.json}"
 # The PR number is derived from the output name (BENCH_PR<N>.json), so
 # later PRs can re-run the same gate against the PR-2 baselines:
 #   scripts/bench.sh BENCH_PR5.json

@@ -102,19 +102,20 @@ awk -v t="$total" -v f="$COVER_FLOOR" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
 
 if [[ "$FUZZTIME" != "0s" && "$FUZZTIME" != "0" ]]; then
     step "fuzz (${FUZZTIME} per target)"
-    go test ./internal/edfvd -run='^$' -fuzz='^FuzzTheorem1Feasible$' -fuzztime="$FUZZTIME"
-    go test ./internal/edfvd -run='^$' -fuzz='^FuzzDualAgreement$' -fuzztime="$FUZZTIME"
-    go test ./internal/edfvd -run='^$' -fuzz='^FuzzProbedScreens$' -fuzztime="$FUZZTIME"
-    go test ./internal/taskgen -run='^$' -fuzz='^FuzzGenerate$' -fuzztime="$FUZZTIME"
-    go test ./internal/taskgen -run='^$' -fuzz='^FuzzCDFSource$' -fuzztime="$FUZZTIME"
-    go test ./internal/fpamc -run='^$' -fuzz='^FuzzBackendAgreement$' -fuzztime="$FUZZTIME"
-    go test ./internal/partition -run='^$' -fuzz='^FuzzIncrementalAgreement$' -fuzztime="$FUZZTIME"
+    scripts/fuzz.sh "$FUZZTIME"
 fi
 
 # Non-gating: performance tracking for the partitioning fast path, the
-# incremental online events and the end-to-end online scenario.
-# Regressions show up in BENCH_PR10.json but do not fail the gate.
+# incremental online events and the end-to-end online scenario. The
+# report goes to a temporary file, never to a tracked one; regressions
+# show up there but do not fail the gate.
 step "bench (non-gating)"
-scripts/bench.sh BENCH_PR10.json || echo "bench: failed (non-gating)" >&2
+# The file name carries the PR number bench.sh reads its Fig1 floor from.
+bench_out="$(mktemp -d)/BENCH_PR10.json"
+if scripts/bench.sh "$bench_out"; then
+    echo "bench report: $bench_out"
+else
+    echo "bench: failed (non-gating)" >&2
+fi
 
 step "OK"

@@ -2,7 +2,9 @@
 # loadtest.sh — build mcserved + mcserveload, start the daemon with a
 # deliberately small queue, offer load at several rates through the
 # retrying client, and write the latency/shedding report to
-# BENCH_PR8.json. Pure Go toolchain; no external load tools.
+# BENCH_PR8.json. Latencies are timed from each request's due time on
+# the offer clock, not from when a sender picked it up, so queueing
+# behind a stall is counted. Pure Go toolchain; no external load tools.
 #
 # Usage: scripts/loadtest.sh [duration-per-level] [out-file]
 #   duration-per-level  default 5s
