@@ -198,208 +198,6 @@ func SimpleFeasible(m *mc.UtilMatrix) bool {
 	return m.OwnLevelLoad() <= 1+Eps
 }
 
-// fastGuard is the margin FastInfeasible keeps beyond Eps so that the
-// O(1) screen can never contradict the full analysis: the rounding
-// difference between mu(K-1) computed here and any mu(k) accumulated
-// inside AnalyzeInto is bounded by a few ulps of K, orders of
-// magnitude below this band.
-const fastGuard = 1e-12
-
-// FastInfeasible conservatively reports that no Theorem-1 condition
-// can hold for the subset, reading only three matrix entries. It never
-// returns true for a subset Analyze would accept: mu(k) is
-// non-increasing in the condition level k while every theta(k) is a
-// product of factors in (0, 1] and hence at most 1, so
-// mu(K-1) = U_{K-1}(K-1) + minTerm clearly above 1 rules out every
-// condition. Probe loops use it to skip the full lambda recursion for
-// hopelessly overloaded cores; false only means "run the analysis".
-//
-//mc:allocfree three matrix reads
-func FastInfeasible(m *mc.UtilMatrix) bool {
-	k := m.K()
-	if k < 2 {
-		return false
-	}
-	d := m.Data()
-	return fastInfeasible(d, k,
-		d[(k-1)*k+(k-1)], d[(k-1)*k+(k-2)], d[(k-2)*k+(k-2)])
-}
-
-//
-//mc:allocfree pure arithmetic
-func fastInfeasible(d []float64, k int, ukk, ukk1, own1 float64) bool {
-	minTerm := ukk
-	if 1-ukk > Eps {
-		if frac := ukk1 / (1 - ukk); frac < minTerm {
-			minTerm = frac
-		}
-	}
-	return own1+minTerm > 1+Eps+fastGuard
-}
-
-// SimpleFeasibleProbed reports the Eq. 4 sufficient condition for the
-// subset described by the raw K x K matrix data d (UtilMatrix.Data)
-// with one task of criticality crit and utilization row urow virtually
-// added. Every float operation replicates UtilMatrix.AddRow followed
-// by OwnLevelLoad, so the verdict is bit-identical to probing for
-// real — without mutating the matrix.
-//
-//mc:allocfree virtual: raw-slice reads only
-func SimpleFeasibleProbed(d []float64, k, crit int, urow []float64) bool {
-	var s float64
-	for j := 0; j < k; j++ {
-		v := d[j*k+j]
-		if j == crit-1 {
-			v += urow[j]
-		}
-		s += v
-	}
-	return s <= 1+Eps
-}
-
-// FastInfeasibleProbed is FastInfeasible — the O(1) overload reject
-// derived from the Eq. 5 min term bounding every Theorem-1 mu(k) from
-// below — evaluated on the virtually probed subset (same contract as
-// SimpleFeasibleProbed: no mutation, bit-identical verdict).
-//
-//mc:allocfree virtual: raw-slice reads only
-func FastInfeasibleProbed(d []float64, k, crit int, urow []float64) bool {
-	if k < 2 {
-		return false
-	}
-	ukk := d[(k-1)*k+(k-1)]
-	ukk1 := d[(k-1)*k+(k-2)]
-	own1 := d[(k-2)*k+(k-2)]
-	switch crit {
-	case k:
-		ukk += urow[k-1]
-		ukk1 += urow[k-2]
-	case k - 1:
-		own1 += urow[k-2]
-	}
-	return fastInfeasible(d, k, ukk, ukk1, own1)
-}
-
-// minTermProbed computes the Eq. 5 min term of the virtually probed
-// subset with the exact float operations of AnalyzeInto.
-//
-//mc:allocfree pure arithmetic
-func minTermProbed(d []float64, k, crit int, urow []float64) float64 {
-	ukk := d[(k-1)*k+(k-1)]
-	ukk1 := d[(k-1)*k+(k-2)]
-	if crit == k {
-		ukk += urow[k-1]
-		ukk1 += urow[k-2]
-	}
-	minTerm := ukk
-	if 1-ukk > Eps {
-		if frac := ukk1 / (1 - ukk); frac < minTerm {
-			minTerm = frac
-		}
-	}
-	return minTerm
-}
-
-// FeasibleProbed reports the Theorem-1 verdict for the virtually
-// probed subset: the same boolean Analyze would produce after adding a
-// task of criticality crit with utilization row urow, without mutating
-// anything. Every float operation — the Eq. 5 min term, the top-down
-// mu accumulation, the Eq. 6 lambda recursion and the theta products —
-// replicates AnalyzeInto's exactly, so the verdict is bit-identical;
-// the savings come from structure, not arithmetic: no report is
-// filled, lambda_j is only derived up to the first holding condition
-// (in particular the condition-unused lambda_K never is), and the scan
-// stops at the first accept or the first invalid lambda (which poisons
-// every later theta in AnalyzeInto too).
-//
-//mc:allocfree mu lives in a stack array up to K=16
-func FeasibleProbed(d []float64, k, crit int, urow []float64) bool {
-	if k == 1 {
-		u := d[0]
-		if crit == 1 {
-			u += urow[0]
-		}
-		return u <= 1+Eps
-	}
-	minTerm := minTermProbed(d, k, crit, urow)
-	var muBuf [16]float64
-	mu := muBuf[:]
-	if cap(mu) < k {
-		mu = make([]float64, k)
-	}
-	sumOwn := 0.0
-	for i := k - 1; i >= 1; i-- {
-		v := d[(i-1)*k+(i-1)]
-		if i == crit {
-			v += urow[i-1]
-		}
-		sumOwn += v
-		mu[i-1] = sumOwn + minTerm
-	}
-	theta := 1.0
-	lambda := 0.0 // lambda_1
-	prod := 1.0   // prod_{x<j} (1 - lambda_x), as in the lambda recursion
-	for cond := 1; cond <= k-1; cond++ {
-		if cond >= 2 {
-			// Derive lambda_cond (Eq. 6, j = cond).
-			prod *= 1 - lambda
-			if prod <= Eps {
-				return false
-			}
-			var num float64
-			for x := cond; x <= k; x++ {
-				v := d[(x-1)*k+(cond-2)]
-				if x == crit {
-					v += urow[cond-2]
-				}
-				num += v
-			}
-			dd := d[(cond-2)*k+(cond-2)]
-			if crit == cond-1 {
-				dd += urow[cond-2]
-			}
-			// Eq. 6 multiplied through by the running product P (see
-			// lambdas): one division, same factor.
-			rem := prod - dd
-			if rem <= Eps*prod {
-				return false
-			}
-			lambda = num / rem
-			if lambda < 0 || lambda >= 1 {
-				return false
-			}
-		}
-		theta *= 1 - lambda
-		if theta-mu[cond-1] >= -Eps {
-			return true
-		}
-	}
-	return false
-}
-
-// UtilFloorProbed returns a certified lower bound on the Eq. 9 core
-// utilization — under either reading — that Analyze would report for
-// the virtually probed subset, or -Inf when K < 2 (no bound
-// available). Since every theta(k) is at most 1 and mu(k) is
-// non-increasing in k, any holding condition has availability
-// A(k) <= 1 - mu(K-1) and hence core utilization >= mu(K-1); the
-// returned value keeps a 1e-11 band below that, far above the few
-// ulps of summation rounding separating this mu(K-1) from the
-// analysis's. Probe loops use it to skip the full analysis for cores
-// that cannot beat the incumbent candidate.
-//
-//mc:allocfree O(1) matrix reads
-func UtilFloorProbed(d []float64, k, crit int, urow []float64) float64 {
-	if k < 2 {
-		return math.Inf(-1)
-	}
-	own1 := d[(k-2)*k+(k-2)]
-	if crit == k-1 {
-		own1 += urow[k-2]
-	}
-	return own1 + minTermProbed(d, k, crit, urow) - 1e-11
-}
-
 // DualFeasible implements the dual-criticality specialization Eq. 7:
 //
 //	U_1(1) + min{ U_2(2), U_2(1)/(1 - U_2(2)) } <= 1.

@@ -8,57 +8,102 @@ import (
 	"catpa/internal/mc"
 )
 
-// The virtual probe screens promise verdicts identical to physically
-// adding the candidate row and running the full analysis. These tests
-// pin that contract:
+// The State probe queries promise the answers a physical add of the
+// candidate followed by the full matrix analysis would give. These
+// tests pin that contract against Analyze as the reference:
 //
-//   - FeasibleProbed must match the post-add Analyze verdict exactly
-//     (it is an equivalence, not a one-sided screen);
-//   - SimpleFeasibleProbed acceptance implies feasibility;
-//   - FastInfeasibleProbed rejection implies infeasibility;
-//   - UtilFloorProbed never exceeds the post-add core utilization
-//     under either Eq. 9 reading;
-//   - the screens leave the matrix bit-identical (they never mutate).
+//   - FeasibleWith and the EvalWith verdict (and its first holding
+//     condition) must equal Analyze's exactly;
+//   - the EvalWith readings must equal Analyze's up to accumulation
+//     order (approxEq): the cached sums and the matrix add the same
+//     utilizations along different association orders;
+//   - a SimpleFeasibleWith accept implies Analyze feasible;
+//   - UtilFloorWith is never above either Eq. 9 reading;
+//   - the queries leave the committed sums bit-identical.
 
-// checkProbedScreens runs every screen for the probe task against the
-// ground truth of a physical add + Analyze on a throwaway clone.
-func checkProbedScreens(t *testing.T, m *mc.UtilMatrix, probe *mc.Task) {
-	t.Helper()
-	k := m.K()
+// approxEq is the cross-representation float comparison: equal up to
+// accumulation-order rounding, with infinities matched exactly.
+func approxEq(a, b float64) bool {
+	if math.IsInf(a, 0) || math.IsInf(b, 0) {
+		return a == b
+	}
+	diff := math.Abs(a - b)
+	return diff <= 1e-9*(1+math.Abs(a)+math.Abs(b))
+}
+
+// rowOf returns tk's full K-length utilization row, the form every
+// State query takes.
+func rowOf(tk *mc.Task, k int) []float64 {
 	row := make([]float64, k)
-	probe.UtilRow(k, row)
-	urow := row[:probe.Crit]
+	tk.UtilRow(k, row)
+	return row
+}
 
-	before := append([]float64(nil), m.Data()...)
-	gotFeasible := FeasibleProbed(m.Data(), k, probe.Crit, urow)
-	gotSimple := SimpleFeasibleProbed(m.Data(), k, probe.Crit, urow)
-	gotFast := k >= 2 && FastInfeasibleProbed(m.Data(), k, probe.Crit, urow)
-	gotFloor := UtilFloorProbed(m.Data(), k, probe.Crit, urow)
-	for i, v := range m.Data() {
-		if math.Float64bits(v) != math.Float64bits(before[i]) {
-			t.Fatalf("probed screens mutated the matrix at %d: %v -> %v", i, before[i], v)
+// addPair commits tk to both representations: the State by its delta
+// Add, the matrix by its row add.
+func addPair(s *State, m *mc.UtilMatrix, tk *mc.Task) {
+	s.Add(tk.Crit, rowOf(tk, s.k))
+	m.Add(tk)
+}
+
+// buildPair accumulates tasks, in order, into a fresh K-level State and
+// UtilMatrix.
+func buildPair(k int, tasks []mc.Task) (*State, *mc.UtilMatrix) {
+	var s State
+	s.Reset(k)
+	m := mc.NewUtilMatrix(k)
+	for i := range tasks {
+		addPair(&s, m, &tasks[i])
+	}
+	return &s, m
+}
+
+// checkStateQueries runs every State probe query for the candidate
+// against the ground truth of a physical add + Analyze on a clone of
+// m, which must hold the same tasks as s.
+func checkStateQueries(t *testing.T, s *State, m *mc.UtilMatrix, probe *mc.Task) {
+	t.Helper()
+	k, crit := s.k, probe.Crit
+	row := rowOf(probe, k)
+
+	sums := append([]float64(nil), s.buf...)
+	ownSum, ukk1 := s.ownSum, s.ukk1
+	feasible := s.FeasibleWith(crit, row)
+	simple := s.SimpleFeasibleWith(crit, row)
+	floor := s.UtilFloorWith(crit, row)
+	var ev ProbeEval
+	s.EvalWith(crit, row, &ev)
+	for i, v := range s.buf {
+		if math.Float64bits(v) != math.Float64bits(sums[i]) {
+			t.Fatalf("probe queries mutated the committed sums at %d: %v -> %v", i, sums[i], v)
 		}
+	}
+	if math.Float64bits(s.ownSum) != math.Float64bits(ownSum) || math.Float64bits(s.ukk1) != math.Float64bits(ukk1) {
+		t.Fatalf("probe queries mutated (ownSum, ukk1): (%v, %v) -> (%v, %v)", ownSum, ukk1, s.ownSum, s.ukk1)
 	}
 
 	real := m.Clone()
 	real.Add(probe)
 	r := Analyze(real)
 
-	if gotFeasible != r.Feasible() {
-		t.Fatalf("FeasibleProbed = %v, post-add Analyze = %v (crit %d)\nmatrix:\n%s",
-			gotFeasible, r.Feasible(), probe.Crit, real)
+	if feasible != r.Feasible() {
+		t.Fatalf("k=%d crit=%d: FeasibleWith = %v, post-add Analyze = %v\nmatrix:\n%s",
+			k, crit, feasible, r.Feasible(), real)
 	}
-	if gotSimple && !r.Feasible() {
-		t.Fatalf("SimpleFeasibleProbed accepts an infeasible subset\nmatrix:\n%s", real)
+	if ev.FeasibleK != r.FeasibleK {
+		t.Fatalf("k=%d crit=%d: EvalWith FeasibleK = %d, Analyze FeasibleK = %d\nmatrix:\n%s",
+			k, crit, ev.FeasibleK, r.FeasibleK, real)
 	}
-	if gotFast && r.Feasible() {
-		t.Fatalf("FastInfeasibleProbed rejects a feasible subset\nmatrix:\n%s", real)
+	if !approxEq(ev.CoreUtil, r.CoreUtil) || !approxEq(ev.CoreUtilWorst, r.CoreUtilWorst) {
+		t.Fatalf("k=%d crit=%d: EvalWith readings (%v, %v), Analyze (%v, %v)\nmatrix:\n%s",
+			k, crit, ev.CoreUtil, ev.CoreUtilWorst, r.CoreUtil, r.CoreUtilWorst, real)
 	}
-	if r.Feasible() && k >= 2 {
-		if gotFloor > r.CoreUtil || gotFloor > r.CoreUtilWorst {
-			t.Fatalf("UtilFloorProbed = %v exceeds CoreUtil %v / CoreUtilWorst %v\nmatrix:\n%s",
-				gotFloor, r.CoreUtil, r.CoreUtilWorst, real)
-		}
+	if simple && !r.Feasible() {
+		t.Fatalf("k=%d crit=%d: SimpleFeasibleWith accepts an infeasible subset\nmatrix:\n%s", k, crit, real)
+	}
+	if r.Feasible() && (floor > r.CoreUtil || floor > r.CoreUtilWorst) {
+		t.Fatalf("k=%d crit=%d: UtilFloorWith = %v exceeds CoreUtil %v / CoreUtilWorst %v\nmatrix:\n%s",
+			k, crit, floor, r.CoreUtil, r.CoreUtilWorst, real)
 	}
 }
 
@@ -77,27 +122,54 @@ func randTask(rng *rand.Rand, id, maxK int) mc.Task {
 	return mc.MustTask(id, "", period, w...)
 }
 
+// randResidents draws n random resident tasks for a K-level core.
+func randResidents(rng *rand.Rand, k, n int) []mc.Task {
+	tasks := make([]mc.Task, n)
+	for i := range tasks {
+		tasks[i] = randTask(rng, i+1, k)
+	}
+	return tasks
+}
+
 // TestProbedScreensMatchAnalysis sweeps K = 1..6 with random resident
-// subsets and probe tasks, comparing every screen against the physical
-// add-and-analyze ground truth.
+// subsets and probe tasks, comparing every State query against the
+// physical add-and-analyze ground truth.
 func TestProbedScreensMatchAnalysis(t *testing.T) {
 	rng := rand.New(rand.NewSource(20160816))
 	for k := 1; k <= 6; k++ {
 		for trial := 0; trial < 300; trial++ {
-			m := mc.NewUtilMatrix(k)
-			n := rng.Intn(6)
-			for i := 0; i < n; i++ {
+			s, m := buildPair(k, randResidents(rng, k, rng.Intn(6)))
+			probe := randTask(rng, 99, k)
+			checkStateQueries(t, s, m, &probe)
+		}
+	}
+}
+
+// TestStateQueriesMatchProbedScreens drives one State per trial the way
+// an admission loop does: every candidate is probed, and committed
+// only when FeasibleWith (just pinned to Analyze) accepts it. The core
+// therefore climbs to and then hugs the feasibility boundary, where a
+// verdict drift would show, and each probe reads a min-term cache left
+// by the earlier probes and commits.
+func TestStateQueriesMatchProbedScreens(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260809))
+	for k := 1; k <= 6; k++ {
+		for trial := 0; trial < 40; trial++ {
+			s, m := buildPair(k, nil)
+			for i := 0; i < 16; i++ {
 				tk := randTask(rng, i+1, k)
-				m.Add(&tk)
+				checkStateQueries(t, s, m, &tk)
+				if s.FeasibleWith(tk.Crit, rowOf(&tk, k)) {
+					addPair(s, m, &tk)
+				}
 			}
-			probe := randTask(rng, n+1, k)
-			checkProbedScreens(t, m, &probe)
 		}
 	}
 }
 
 // FuzzProbedScreens drives the same contract from fuzz-decoded task
-// sets: the last decoded task is the probe, the rest are resident.
+// sets: each decoded task is probed against the State holding all the
+// tasks before it, then committed.
 func FuzzProbedScreens(f *testing.F) {
 	f.Add(tableISeed())
 	f.Add(encodeTask(1000, 999, 4, 128))
@@ -108,11 +180,10 @@ func FuzzProbedScreens(f *testing.F) {
 		if ts == nil {
 			t.Skip("not enough bytes for one task")
 		}
-		n := ts.Len()
-		m := mc.NewUtilMatrix(k)
-		for i := 0; i < n-1; i++ {
-			m.Add(&ts.Tasks[i])
+		s, m := buildPair(k, nil)
+		for i := range ts.Tasks {
+			checkStateQueries(t, s, m, &ts.Tasks[i])
+			addPair(s, m, &ts.Tasks[i])
 		}
-		checkProbedScreens(t, m, &ts.Tasks[n-1])
 	})
 }

@@ -25,7 +25,6 @@ import "math"
 // core of one backend and is not safe for concurrent use.
 type State struct {
 	k int
-	n int
 
 	// own[j-1] = U_j(j), the own-level utilization sums (the matrix
 	// diagonal). own[K-1] is the Eq. 5 min-term numerator U_K(K).
@@ -87,7 +86,6 @@ func (s *State) ResetSlab(k int, buf []float64) {
 //
 //mc:allocfree zeroes amortized storage
 func (s *State) Clear() {
-	s.n = 0
 	s.ownSum = 0
 	s.ukk1 = 0
 	s.mtOK = false
@@ -101,40 +99,6 @@ func (s *State) Clear() {
 		s.colTail[i] = 0
 	}
 }
-
-// K returns the configured criticality-level count.
-//
-//mc:allocfree accessor
-func (s *State) K() int { return s.k }
-
-// CopyFrom makes s a bitwise copy of src, reusing s's storage where
-// capacity allows. It is the snapshot/restore primitive behind the
-// exact O(K) undo of the most recent Add: a restored state is bitwise
-// the pre-Add state, with none of the one-ulp residue an arithmetic
-// subtraction could leave in the sums.
-//
-//mc:allocfree copies into amortized storage
-func (s *State) CopyFrom(src *State) {
-	k := src.k
-	s.k = k
-	s.n = src.n
-	s.ownSum = src.ownSum
-	s.ukk1 = src.ukk1
-	s.mtVal, s.mtOK = src.mtVal, src.mtOK
-	buf := resize(s.buf, 3*k-2)
-	s.buf = buf
-	s.own = buf[0:k:k]
-	s.ownTail = buf[k : 2*k-1 : 2*k-1]
-	s.colTail = buf[2*k-1 : 3*k-2 : 3*k-2]
-	copy(s.own, src.own)
-	copy(s.ownTail, src.ownTail)
-	copy(s.colTail, src.colTail)
-}
-
-// Len returns the number of accumulated tasks.
-//
-//mc:allocfree accessor
-func (s *State) Len() int { return s.n }
 
 // OwnLoad returns the committed Eq. 4 own-level load sum_j U_j(j).
 //
@@ -174,7 +138,6 @@ func (s *State) Add(crit int, urow []float64) {
 		s.ukk1 += urow[k-2]
 		s.mtOK = false
 	}
-	s.n++
 }
 
 // add4 is Add unrolled for K = 4: one straight-line block per
@@ -219,7 +182,6 @@ func (s *State) add4(crit int, urow []float64) {
 		s.ukk1 += urow[2]
 		s.mtOK = false
 	}
-	s.n++
 }
 
 // minTermWith returns the Eq. 5 min term
@@ -255,6 +217,16 @@ func minTerm(ukk, ukk1 float64) float64 {
 	return mt
 }
 
+// fastGuard is the margin the O(1) overload reject keeps beyond Eps.
+// The reject fires when U_{K-1}(K-1) + minTerm, that is mu(K-1), is
+// clearly above 1: the Eq. 5 min term bounds every mu(k) from below and
+// every theta(k) is at most 1, so no Theorem-1 condition can hold. The
+// margin keeps the screen from ever contradicting the full analysis:
+// the rounding difference between mu(K-1) computed from the cached
+// sums and any mu(k) accumulated inside AnalyzeInto is bounded by a
+// few ulps of K, orders of magnitude below this band.
+const fastGuard = 1e-12
+
 // SimpleFeasibleWith reports the Eq. 4 sufficient condition — own-level
 // load at most 1 — for the subset with one task of criticality crit
 // and utilization row urow virtually added. O(1).
@@ -262,25 +234,6 @@ func minTerm(ukk, ukk1 float64) float64 {
 //mc:allocfree one add and one compare
 func (s *State) SimpleFeasibleWith(crit int, urow []float64) bool {
 	return s.ownSum+urow[crit-1] <= 1+Eps
-}
-
-// FastInfeasibleWith is the O(1) overload reject on the virtually
-// probed subset: the Eq. 5 min term bounds every mu(k) from below, so
-// U_{K-1}(K-1) + minTerm clearly above 1 rules out every Theorem-1
-// condition (theta(k) <= 1 always). Never true for a subset the full
-// analysis would accept; false only means "run the analysis".
-//
-//mc:allocfree pure arithmetic
-func (s *State) FastInfeasibleWith(crit int, urow []float64) bool {
-	k := s.k
-	if k < 2 {
-		return false
-	}
-	own1 := s.own[k-2]
-	if crit == k-1 {
-		own1 += urow[k-2]
-	}
-	return own1+s.minTermWith(crit, urow) > 1+Eps+fastGuard
 }
 
 // UtilFloorWith returns a certified lower bound on the Eq. 9 core
@@ -307,7 +260,7 @@ func (s *State) UtilFloorWith(crit int, urow []float64) float64 {
 // without mutating anything: the full ladder in O(K). The lambda
 // recursion stops at the first holding condition or the first invalid
 // factor, exactly like the committed analysis scan. The O(1) overload
-// reject of FastInfeasibleWith runs first, sharing the min-term
+// reject (see fastGuard) runs first, sharing the min-term
 // computation, so callers need not screen separately.
 //
 // urow must be the full K-length row of Task.UtilRow (as for every
@@ -331,7 +284,7 @@ func (s *State) FeasibleWith(crit int, urow []float64) bool {
 		own1 += urow[k-2]
 	}
 	if own1+minTerm > 1+Eps+fastGuard {
-		return false // the FastInfeasibleWith overload reject
+		return false // the overload reject
 	}
 	if k == 4 && crit > 0 {
 		return s.feasibleWith4(crit, urow, minTerm)
@@ -550,7 +503,7 @@ func (s *State) EvalWith(crit int, urow []float64, ev *ProbeEval) {
 		own1 += urow[k-2]
 	}
 	if own1+minTerm > 1+Eps+fastGuard {
-		return // the FastInfeasibleWith overload reject: nothing holds
+		return // the overload reject: nothing holds
 	}
 	if k == 4 && crit > 0 {
 		s.evalWith4(crit, urow, minTerm, ev)

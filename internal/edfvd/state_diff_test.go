@@ -4,105 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"catpa/internal/mc"
 )
 
-// The State differential wall. Two layers, with different strictness:
-//
-//   - State vs State must be bitwise: a probed query (EvalWith,
-//     ProbeBoundedWith) must leave exactly the readings the committed
-//     query reports after the corresponding Add, and the specialized
-//     K = 4 paths must be indistinguishable from the generic scan.
-//     This is the Backend delta contract's bit-identity invariant at
-//     the State seam.
-//   - State vs the matrix-based probe screens (FeasibleProbed and
-//     friends) must agree on every verdict and on every reading up to
-//     accumulation order: the two representations sum the same
-//     utilizations along different association orders, so floats are
-//     compared with a tolerance, verdicts exactly.
-
-// approxEq is the cross-representation float comparison: equal up to
-// accumulation-order rounding, with infinities matched exactly.
-func approxEq(a, b float64) bool {
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return a == b
-	}
-	diff := math.Abs(a - b)
-	return diff <= 1e-9*(1+math.Abs(a)+math.Abs(b))
-}
-
-// buildPair accumulates the same random subset into a State (delta
-// adds) and a UtilMatrix (the probe screens' representation).
-func buildPair(rng *rand.Rand, k, n int) (*State, *mc.UtilMatrix) {
-	var s State
-	s.Reset(k)
-	m := mc.NewUtilMatrix(k)
-	row := make([]float64, k)
-	for i := 0; i < n; i++ {
-		tk := randTask(rng, i+1, k)
-		tk.UtilRow(k, row)
-		s.Add(tk.Crit, row[:tk.Crit])
-		m.Add(&tk)
-	}
-	return &s, m
-}
-
-// TestStateQueriesMatchProbedScreens sweeps K = 1..6 with random
-// resident subsets and candidates, comparing every State query against
-// the matrix-based probe screens and the post-add Analyze ground
-// truth.
-func TestStateQueriesMatchProbedScreens(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260809))
-	for k := 1; k <= 6; k++ {
-		for trial := 0; trial < 250; trial++ {
-			s, m := buildPair(rng, k, rng.Intn(6))
-			probe := randTask(rng, 99, k)
-			// State queries take the full K-length row; the matrix
-			// screens take the crit-length prefix.
-			row := make([]float64, k)
-			probe.UtilRow(k, row)
-			prefix := row[:probe.Crit]
-			crit := probe.Crit
-			ctx := func(what string) string {
-				return what + " (k=" + itoa(k) + " trial=" + itoa(trial) + " crit=" + itoa(crit) + ")"
-			}
-
-			d := m.Data()
-			if got, want := s.FeasibleWith(crit, row), FeasibleProbed(d, k, crit, prefix); got != want {
-				t.Fatal(ctx("FeasibleWith"), got, "probed", want)
-			}
-			if got, want := s.SimpleFeasibleWith(crit, row), SimpleFeasibleProbed(d, k, crit, prefix); got != want {
-				t.Fatal(ctx("SimpleFeasibleWith"), got, "probed", want)
-			}
-			if k >= 2 {
-				if got, want := s.FastInfeasibleWith(crit, row), FastInfeasibleProbed(d, k, crit, prefix); got != want {
-					t.Fatal(ctx("FastInfeasibleWith"), got, "probed", want)
-				}
-				if got, want := s.UtilFloorWith(crit, row), UtilFloorProbed(d, k, crit, prefix); !approxEq(got, want) {
-					t.Fatal(ctx("UtilFloorWith"), got, "probed", want)
-				}
-			}
-
-			// EvalWith vs the post-add Analyze ground truth.
-			var ev ProbeEval
-			s.EvalWith(crit, row, &ev)
-			real := m.Clone()
-			real.Add(&probe)
-			r := Analyze(real)
-			if (ev.FeasibleK > 0) != r.Feasible() {
-				t.Fatal(ctx("EvalWith feasibility"), ev.FeasibleK, "Analyze", r.FeasibleK)
-			}
-			if ev.FeasibleK != r.FeasibleK {
-				t.Fatal(ctx("EvalWith FeasibleK"), ev.FeasibleK, "Analyze", r.FeasibleK)
-			}
-			if !approxEq(ev.CoreUtil, r.CoreUtil) || !approxEq(ev.CoreUtilWorst, r.CoreUtilWorst) {
-				t.Fatal(ctx("EvalWith readings"), ev.CoreUtil, ev.CoreUtilWorst,
-					"Analyze", r.CoreUtil, r.CoreUtilWorst)
-			}
-		}
-	}
-}
+// The State-vs-State layer of the differential wall, which must be
+// bitwise: a probed query (EvalWith, ProbeBoundedWith) must leave
+// exactly the readings the committed query reports after the
+// corresponding Add, and the specialized K = 4 paths must be
+// indistinguishable from the generic scan. This is the Backend delta
+// contract's bit-identity invariant at the State seam. The State-vs-
+// Analyze layer, where readings agree only up to accumulation order,
+// is in probed_test.go.
 
 // TestStateProbeCommitBitIdentity pins the delta contract at the State
 // seam: the probed readings of a candidate must be bitwise the
@@ -114,10 +25,10 @@ func TestStateProbeCommitBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for k := 1; k <= 6; k++ {
 		for trial := 0; trial < 250; trial++ {
-			s, _ := buildPair(rng, k, rng.Intn(6))
+			tasks := randResidents(rng, k, rng.Intn(6))
+			s, _ := buildPair(k, tasks)
 			probe := randTask(rng, 99, k)
-			row := make([]float64, k)
-			probe.UtilRow(k, row)
+			row := rowOf(&probe, k)
 
 			var probed ProbeEval
 			s.EvalWith(probe.Crit, row, &probed)
@@ -127,9 +38,7 @@ func TestStateProbeCommitBitIdentity(t *testing.T) {
 					k, trial, feasible, probed.FeasibleK)
 			}
 
-			var committed State
-			committed.CopyFrom(s)
-			committed.Add(probe.Crit, row[:probe.Crit])
+			committed, _ := buildPair(k, append(tasks, probe))
 			var ev ProbeEval
 			committed.Eval(&ev)
 			if ev != probed {
@@ -146,10 +55,6 @@ func TestStateProbeCommitBitIdentity(t *testing.T) {
 					k, trial, rep.FeasibleK, rep.CoreUtil, rep.CoreUtilWorst,
 					ev.FeasibleK, ev.CoreUtil, ev.CoreUtilWorst)
 			}
-			if committed.K() != k || committed.Len() != s.Len()+1 {
-				t.Fatalf("k=%d trial=%d: committed dims (%d,%d), want (%d,%d)",
-					k, trial, committed.K(), committed.Len(), k, s.Len()+1)
-			}
 		}
 	}
 }
@@ -163,10 +68,9 @@ func TestProbeBoundedMatchesFloorThenEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for k := 1; k <= 6; k++ {
 		for trial := 0; trial < 200; trial++ {
-			s, _ := buildPair(rng, k, rng.Intn(6))
+			s, _ := buildPair(k, randResidents(rng, k, rng.Intn(6)))
 			probe := randTask(rng, 99, k)
-			row := make([]float64, k)
-			probe.UtilRow(k, row)
+			row := rowOf(&probe, k)
 			base := rng.Float64()
 
 			floor := s.UtilFloorWith(probe.Crit, row)
@@ -190,41 +94,4 @@ func TestProbeBoundedMatchesFloorThenEval(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestFastInfeasibleMatrix covers the committed-matrix overload screen:
-// reject iff the own-level residual plus the Eq. 5 min term overflows.
-func TestFastInfeasibleMatrix(t *testing.T) {
-	light := mc.NewUtilMatrix(3)
-	tk := mc.MustTask(1, "", 10, 1, 2, 3)
-	light.Add(&tk)
-	if FastInfeasible(light) {
-		t.Error("FastInfeasible rejects a light subset")
-	}
-	heavy := mc.NewUtilMatrix(3)
-	for i := 0; i < 4; i++ {
-		hk := mc.MustTask(i+1, "", 10, 4, 5, 6)
-		heavy.Add(&hk)
-	}
-	if !FastInfeasible(heavy) {
-		t.Error("FastInfeasible accepts a grossly overloaded subset")
-	}
-	if Feasible(heavy) {
-		t.Error("Feasible accepts a grossly overloaded subset")
-	}
-}
-
-// itoa avoids pulling strconv into the hot-loop failure messages.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

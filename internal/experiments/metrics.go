@@ -203,20 +203,6 @@ func (m *SweepMetrics) variantIndex(v Variant) int {
 	return -1
 }
 
-// Accepted returns the number of sets scheme s (on the default
-// backend) accepted, i.e. partitioned feasibly; Rejected the number it
-// rejected. The variant-addressed accessors cover non-default
-// backends.
-func (m *SweepMetrics) Accepted(s partition.Scheme) int64 {
-	return m.AcceptedVariant(Variant{Scheme: s})
-}
-
-// Rejected returns the number of sets scheme s (on the default
-// backend) rejected, including quarantined sets.
-func (m *SweepMetrics) Rejected(s partition.Scheme) int64 {
-	return m.RejectedVariant(Variant{Scheme: s})
-}
-
 // AcceptedVariant returns the number of sets variant v accepted, or 0
 // when v is not part of the sweep.
 func (m *SweepMetrics) AcceptedVariant(v Variant) int64 {

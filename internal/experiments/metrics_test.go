@@ -34,20 +34,21 @@ func TestSweepMetricsAgreeWithCells(t *testing.T) {
 		t.Errorf("sweep.sets.quarantined = %d, want 0", got)
 	}
 	for si, sch := range partition.Schemes {
+		v := Variant{Scheme: sch}
 		var hits, n int64
 		for _, p := range res.Points {
 			hits += p.Cells[si].Sched.Hits()
 			n += p.Cells[si].Sched.N()
 		}
-		if got := m.Accepted(sch); got != hits {
+		if got := m.AcceptedVariant(v); got != hits {
 			t.Errorf("%s: accepted = %d, want %d (summed cell hits)", sch, got, hits)
 		}
-		if got := m.Rejected(sch); got != n-hits {
+		if got := m.RejectedVariant(v); got != n-hits {
 			t.Errorf("%s: rejected = %d, want %d (summed cell misses)", sch, got, n-hits)
 		}
-		if m.Accepted(sch)+m.Rejected(sch) != m.SetsTotal() {
+		if m.AcceptedVariant(v)+m.RejectedVariant(v) != m.SetsTotal() {
 			t.Errorf("%s: accepted + rejected = %d, want sets.total = %d",
-				sch, m.Accepted(sch)+m.Rejected(sch), m.SetsTotal())
+				sch, m.AcceptedVariant(v)+m.RejectedVariant(v), m.SetsTotal())
 		}
 	}
 
@@ -112,15 +113,16 @@ func TestQuarantineCountsAsRejectedEverywhere(t *testing.T) {
 		t.Errorf("sweep.sets.total = %d, want %d (quarantined sets still count)", got, wantTotal)
 	}
 	for si, sch := range partition.Schemes {
+		v := Variant{Scheme: sch}
 		var hits int64
 		for _, p := range res.Points {
 			hits += p.Cells[si].Sched.Hits()
 		}
-		if got := m.Accepted(sch); got != hits {
+		if got := m.AcceptedVariant(v); got != hits {
 			t.Errorf("%s: accepted = %d, want %d", sch, got, hits)
 		}
-		if m.Accepted(sch)+m.Rejected(sch) != wantTotal {
-			t.Errorf("%s: accepted + rejected = %d, want %d", sch, m.Accepted(sch)+m.Rejected(sch), wantTotal)
+		if m.AcceptedVariant(v)+m.RejectedVariant(v) != wantTotal {
+			t.Errorf("%s: accepted + rejected = %d, want %d", sch, m.AcceptedVariant(v)+m.RejectedVariant(v), wantTotal)
 		}
 	}
 }
@@ -210,7 +212,7 @@ func TestVariantAccessorsAndResume(t *testing.T) {
 		t.Errorf("amcrtb variant: accepted %d rejected %d, want 4/6", a, r)
 	}
 	// The scheme-addressed accessors resolve to the default variant.
-	if got := m.Accepted(partition.CATPA); got != 7 {
+	if got := m.AcceptedVariant(Variant{Scheme: partition.CATPA}); got != 7 {
 		t.Errorf("Accepted(CATPA) = %d, want 7", got)
 	}
 	// A variant outside the sweep reads zero, not a panic or mix-up.

@@ -241,69 +241,6 @@ func (b *edfvdBackend) Place(c, ti int, probed bool) {
 	}
 }
 
-// pickFFD is the concrete-type fast path of the allocator's FFD scan:
-// the candidate's criticality and utilization row are resolved once
-// and every per-core query is a direct call, so the ensure guard and
-// the Eq. 4 accept inline into the loop. The verdict sequence is
-// exactly that of m interface FeasibleWith calls.
-//
-//mc:allocfree the devirtualized FFD scan
-func (b *edfvdBackend) pickFFD(ti int) int {
-	crit := b.crit[ti]
-	u := b.urow(ti)
-	for c := 0; c < b.m; c++ {
-		b.ensure(c)
-		s := &b.states[c]
-		if s.SimpleFeasibleWith(crit, u) || s.FeasibleWith(crit, u) {
-			return c
-		}
-	}
-	return -1
-}
-
-// pickBFD is the concrete-type fast path of the allocator's BFD scan:
-// ownLoad holds the allocator's cached Eq. 4 loads, and the
-// load-hysteresis gate runs before the analysis exactly as in the
-// interface-typed loop.
-//
-//mc:allocfree the devirtualized BFD scan
-func (b *edfvdBackend) pickBFD(ownLoad []float64, ti int) int {
-	crit := b.crit[ti]
-	u := b.urow(ti)
-	best := -1
-	var bestLoad float64
-	for c := 0; c < b.m; c++ {
-		if load := ownLoad[c]; best < 0 || load > bestLoad+mc.Eps {
-			b.ensure(c)
-			s := &b.states[c]
-			if s.SimpleFeasibleWith(crit, u) || s.FeasibleWith(crit, u) {
-				best, bestLoad = c, load
-			}
-		}
-	}
-	return best
-}
-
-// pickWFD is pickBFD with the minimum-load preference.
-//
-//mc:allocfree the devirtualized WFD scan
-func (b *edfvdBackend) pickWFD(ownLoad []float64, ti int) int {
-	crit := b.crit[ti]
-	u := b.urow(ti)
-	best := -1
-	var bestLoad float64
-	for c := 0; c < b.m; c++ {
-		if load := ownLoad[c]; best < 0 || load < bestLoad-mc.Eps {
-			b.ensure(c)
-			s := &b.states[c]
-			if s.SimpleFeasibleWith(crit, u) || s.FeasibleWith(crit, u) {
-				best, bestLoad = c, load
-			}
-		}
-	}
-	return best
-}
-
 // pickMinIncrement is the concrete-type fast path of Algorithm 1's
 // probe loop: utils holds the allocator's cached per-core Eq. 9
 // readings, worst selects the Eq. 9 literal reading. Each core runs
@@ -340,15 +277,6 @@ func (b *edfvdBackend) pickMinIncrement(utils []float64, ti int, worst bool) int
 		}
 	}
 	return best
-}
-
-// placeLoad is Place followed by the Eq. 4 own-load read on direct
-// calls — the devirtualized commit step of the allocator's place.
-//
-//mc:allocfree delta adds and a scalar read
-func (b *edfvdBackend) placeLoad(c, ti int, probed bool) float64 {
-	b.Place(c, ti, probed)
-	return b.states[c].OwnLoad()
 }
 
 // Remove implements Backend: O(1) — the task leaves the member list

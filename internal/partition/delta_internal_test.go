@@ -50,12 +50,13 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 	}
 
 	// The fallback trigger: Remove excises and marks, nothing else.
+	load := b.states[0].OwnLoad()
 	b.Remove(0, 1)
 	if !b.dirty[0] || b.ndirty != 1 {
 		t.Fatalf("Remove left (dirty, ndirty) = (%v, %d), want (true, 1)", b.dirty[0], b.ndirty)
 	}
-	if got := b.states[0].Len(); got != 4 {
-		t.Fatalf("Remove touched the analysis state eagerly (Len %d); the replay is deferred to the next read", got)
+	if got := b.states[0].OwnLoad(); got != load {
+		t.Fatalf("Remove touched the analysis state eagerly (own load %v -> %v); the replay is deferred to the next read", load, got)
 	}
 
 	// A second removal on the already-dirty core must not double-count.
@@ -78,7 +79,7 @@ func TestEdfvdRemoveReplayFallback(t *testing.T) {
 	if b.dirty[0] || b.ndirty != 0 {
 		t.Fatal("read did not clear the dirty mark")
 	}
-	if got, want := b.states[0].Len(), ref.states[0].Len(); got != want {
+	if got, want := len(b.members[0]), len(ref.members[0]); got != want {
 		t.Fatalf("replayed member count %d, reference %d", got, want)
 	}
 	for _, worst := range []bool{false, true} {

@@ -19,9 +19,9 @@ import (
 // by the Backend contract's bit-identity invariant, a Partitioner
 // driving this wrapper must produce bitwise the results of one driving
 // the unwrapped backend's O(1) delta path. The wrapper also hides the
-// backend's concrete type, so the incremental side additionally
-// exercises the allocator's devirtualized fast paths against the
-// generic interface loops.
+// backend's concrete type, so for the EDF-VD backend the incremental
+// side additionally cross-checks the allocator's one devirtualized
+// loop, CA-TPA's pickMinIncrement, against the generic interface loop.
 type reanalyzingBackend struct {
 	partition.Backend
 }
@@ -37,9 +37,9 @@ func (r *reanalyzingBackend) Remove(c, ti int) {
 }
 
 // agreementPair returns two Partitioners over fresh instances of the
-// named backend: the incremental one (delta path, concrete fast paths
-// where the allocator has them) and the reference one (recompute
-// forced after every commit, interface paths only).
+// named backend: the incremental one (delta path, CA-TPA's concrete
+// fast path where the allocator has it) and the reference one
+// (recompute forced after every commit, interface paths only).
 func agreementPair(t *testing.T, name string, m, k int) (inc, ref *partition.Partitioner) {
 	t.Helper()
 	be1, err := partition.NewBackend(name)

@@ -33,11 +33,12 @@ type allocator struct {
 	be   Backend
 
 	// ebe is be when it is the default EDF-VD backend, else nil: the
-	// concrete-type shortcut behind the devirtualized pick loops, which
-	// resolve the candidate's row once per task and query the per-core
-	// states with direct (inlinable) calls. Every fast-path loop
-	// performs exactly the interface-typed loop's float comparisons, so
-	// the picks are identical.
+	// concrete-type shortcut behind CA-TPA's devirtualized probe loop
+	// (edfvdBackend.pickMinIncrement), which resolves the candidate's
+	// row once per task and runs the fused floor-plus-probe per core
+	// with direct calls. That loop performs exactly the interface-typed
+	// loop's float comparisons, so the picks are identical. FFD, BFD,
+	// WFD and Hybrid always run the interface-typed scans.
 	ebe *edfvdBackend
 
 	// Per-run inputs.
@@ -181,12 +182,8 @@ func (a *allocator) place(ti, c int) {
 	prev := a.utils[c]
 	probed := a.probeOK
 	a.probeOK = false
-	if eb := a.ebe; eb != nil {
-		a.ownLoad[c] = eb.placeLoad(c, ti, probed)
-	} else {
-		a.be.Place(c, ti, probed)
-		a.ownLoad[c] = a.be.OwnLoad(c)
-	}
+	a.be.Place(c, ti, probed)
+	a.ownLoad[c] = a.be.OwnLoad(c)
 	a.tasks[c] = append(a.tasks[c], ti)
 	a.assign[ti] = c
 	if probed || a.opts.trace() {
@@ -273,9 +270,6 @@ func (a *allocator) pickClassic(s Scheme, ti int) int {
 //
 //mc:allocfree the FFD scan
 func (a *allocator) pickFFD(ti int) int {
-	if eb := a.ebe; eb != nil {
-		return eb.pickFFD(ti)
-	}
 	for c := 0; c < a.m; c++ {
 		if a.be.FeasibleWith(c, ti) {
 			return c
@@ -290,9 +284,6 @@ func (a *allocator) pickFFD(ti int) int {
 //
 //mc:allocfree the BFD scan
 func (a *allocator) pickBFD(ti int) int {
-	if eb := a.ebe; eb != nil {
-		return eb.pickBFD(a.ownLoad, ti)
-	}
 	best := -1
 	var bestLoad float64
 	for c := 0; c < a.m; c++ {
@@ -310,9 +301,6 @@ func (a *allocator) pickBFD(ti int) int {
 //
 //mc:allocfree the WFD scan
 func (a *allocator) pickWFD(ti int) int {
-	if eb := a.ebe; eb != nil {
-		return eb.pickWFD(a.ownLoad, ti)
-	}
 	best := -1
 	var bestLoad float64
 	for c := 0; c < a.m; c++ {

@@ -69,13 +69,14 @@ func TestMetricsAgreeWithCSV(t *testing.T) {
 	}
 	fromCSV := parseSchedCSV(t, rep.Result.Chart(experiments.SchedRatio).CSV(), sw.Sets)
 	for _, s := range partition.Schemes {
+		v := experiments.Variant{Scheme: s}
 		label := experiments.SchemeLabel(s)
-		if got, want := met.Exp.Accepted(s), fromCSV[label]; got != want {
+		if got, want := met.Exp.AcceptedVariant(v), fromCSV[label]; got != want {
 			t.Errorf("%s: accepted counter = %d, CSV says %d", label, got, want)
 		}
-		if met.Exp.Accepted(s)+met.Exp.Rejected(s) != wantTotal {
+		if met.Exp.AcceptedVariant(v)+met.Exp.RejectedVariant(v) != wantTotal {
 			t.Errorf("%s: accepted + rejected = %d, want %d",
-				label, met.Exp.Accepted(s)+met.Exp.Rejected(s), wantTotal)
+				label, met.Exp.AcceptedVariant(v)+met.Exp.RejectedVariant(v), wantTotal)
 		}
 	}
 	if got := met.Snapshot().Gauges["sweep.workers"]; got != float64(sw.Workers) {
@@ -150,7 +151,8 @@ func TestMetricsCumulativeAcrossKillResume(t *testing.T) {
 	}
 	fromCSV := parseSchedCSV(t, rep2.Result.Chart(experiments.SchedRatio).CSV(), sw.Sets)
 	for _, s := range partition.Schemes {
-		if got, want := met2.Exp.Accepted(s), fromCSV[experiments.SchemeLabel(s)]; got != want {
+		v := experiments.Variant{Scheme: s}
+		if got, want := met2.Exp.AcceptedVariant(v), fromCSV[experiments.SchemeLabel(s)]; got != want {
 			t.Errorf("%s: resumed accepted counter = %d, CSV says %d", s, got, want)
 		}
 	}
@@ -242,9 +244,10 @@ func TestMetricsQuarantineCounters(t *testing.T) {
 	}
 	wantTotal := int64(sw.Sets * len(sw.Values))
 	for _, s := range partition.Schemes {
-		if met.Exp.Accepted(s)+met.Exp.Rejected(s) != wantTotal {
+		v := experiments.Variant{Scheme: s}
+		if met.Exp.AcceptedVariant(v)+met.Exp.RejectedVariant(v) != wantTotal {
 			t.Errorf("%s: accepted + rejected = %d, want %d (quarantined set counted rejected)",
-				s, met.Exp.Accepted(s)+met.Exp.Rejected(s), wantTotal)
+				s, met.Exp.AcceptedVariant(v)+met.Exp.RejectedVariant(v), wantTotal)
 		}
 	}
 }

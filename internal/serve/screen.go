@@ -21,8 +21,8 @@ const (
 
 // Screen is the daemon's degraded-tier admission test: a probe-style
 // O(N·K) utilization screen in the spirit of the edfvd probe screens
-// (UtilFloorProbed and friends), built only from conditions that are
-// *necessary* for per-core schedulability under every registered
+// (State.UtilFloorWith and friends), built only from conditions that
+// are *necessary* for per-core schedulability under every registered
 // backend. It therefore only ever rejects sets the full analysis
 // would reject too — the load-shedding tier can answer "rejected"
 // soundly, and must answer "uncertain" otherwise. The differential
